@@ -1,6 +1,7 @@
 //! GPU hardware model configuration.
 
-use crate::engine::ExecMode;
+use std::fmt;
+
 use crate::sched::SchedPolicyKind;
 use crate::time::SimTime;
 
@@ -101,12 +102,6 @@ pub struct GpuConfig {
     /// nodes follow device 0's setting
     /// ([`ClusterConfig::effective_sched`]).
     pub sched: SchedPolicyKind,
-    /// Event-loop execution scheme for runs on this device's node: serial
-    /// (the default) or device-sharded parallel where provably safe (see
-    /// [`ExecMode`](crate::ExecMode)). Multi-device nodes follow device
-    /// 0's setting ([`ClusterConfig::effective_exec`]);
-    /// [`ClusterConfig::with_exec`] sets the whole node at once.
-    pub exec: ExecMode,
 }
 
 impl GpuConfig {
@@ -134,7 +129,6 @@ impl GpuConfig {
             host_launch_gap: SimTime::from_micros(1.2),
             kernel_dispatch_latency: SimTime::from_micros(4.8),
             sched: SchedPolicyKind::Fifo,
-            exec: ExecMode::Serial,
         }
     }
 
@@ -163,7 +157,6 @@ impl GpuConfig {
             host_launch_gap: SimTime::from_micros(1.2),
             kernel_dispatch_latency: SimTime::from_micros(4.0),
             sched: SchedPolicyKind::Fifo,
-            exec: ExecMode::Serial,
         }
     }
 
@@ -224,6 +217,35 @@ impl GpuConfig {
     /// occupancy: `occupancy x num_sms` (Section II-A).
     pub fn blocks_per_wave(&self, occupancy: u32) -> u64 {
         occupancy as u64 * self.num_sms as u64
+    }
+
+    /// Checks that the simulator can price this model: `num_sms > 0`, and
+    /// `clock_hz` and `dram_bytes_per_sec` finite and `> 0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule violated.
+    ///
+    /// ```
+    /// use cusync_sim::{ConfigError, GpuConfig};
+    ///
+    /// assert_eq!(GpuConfig::tesla_v100().validate(), Ok(()));
+    /// let stalled = GpuConfig { clock_hz: 0.0, ..GpuConfig::tesla_v100() };
+    /// assert!(matches!(
+    ///     stalled.validate(),
+    ///     Err(ConfigError::NonPositiveRate { field: "clock_hz", .. })
+    /// ));
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.check(None)
+    }
+
+    fn check(&self, device: Option<u32>) -> Result<(), ConfigError> {
+        if self.num_sms == 0 {
+            return Err(ConfigError::NoSms { device });
+        }
+        positive(device, "clock_hz", self.clock_hz)?;
+        positive(device, "dram_bytes_per_sec", self.dram_bytes_per_sec)
     }
 }
 
@@ -381,30 +403,90 @@ impl ClusterConfig {
         self.devices[0].sched
     }
 
-    /// The node's effective event-loop execution scheme: device 0's
-    /// [`GpuConfig::exec`] (the same device-0-speaks-for-the-node
-    /// convention as [`ClusterConfig::effective_sched`]). A session-level
-    /// override ([`Session::set_exec`](crate::Session::set_exec)) or the
-    /// `CUSYNC_EXEC` environment variable takes precedence over this.
-    pub fn effective_exec(&self) -> ExecMode {
-        self.devices[0].exec
-    }
-
-    /// Returns the cluster with every device's [`GpuConfig::exec`] set to
-    /// `exec` — the builder-style way to opt a whole node into the
-    /// parallel engine.
+    /// Checks that every device model is usable (see
+    /// [`GpuConfig::validate`]), that the node has at least one device, and
+    /// that the link bandwidth is finite and positive.
     ///
-    /// ```
-    /// use cusync_sim::{ClusterConfig, ExecMode};
+    /// # Errors
     ///
-    /// let node = ClusterConfig::dgx_v100(4).with_exec(ExecMode::Parallel);
-    /// assert_eq!(node.effective_exec(), ExecMode::Parallel);
-    /// ```
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        for d in &mut self.devices {
-            d.exec = exec;
+    /// Returns the first rule violated, naming the offending device.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.devices.is_empty() {
+            return Err(ConfigError::NoDevices);
         }
-        self
+        for (d, gpu) in self.devices.iter().enumerate() {
+            gpu.check(Some(d as u32))?;
+        }
+        positive(None, "link_bytes_per_sec", self.link_bytes_per_sec)
+    }
+}
+
+/// A hardware model the simulator cannot price: a zero-SM device, or a
+/// clock or bandwidth that is NaN, infinite, zero or negative. Such values
+/// do not fail loudly inside the engine; they collapse or saturate the
+/// integer picosecond costs and yield plausible-looking wrong timelines,
+/// so [`Gpu::run`](crate::Gpu::run) and [`Gpu::compile`](crate::Gpu::compile)
+/// reject them up front.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// The cluster has no devices.
+    NoDevices,
+    /// A device has no SMs: no thread block could ever be placed.
+    NoSms {
+        /// The offending device (`None` when a lone [`GpuConfig`] was
+        /// checked).
+        device: Option<u32>,
+    },
+    /// A rate is not a finite, strictly positive number.
+    NonPositiveRate {
+        /// The offending device, or `None` for a lone [`GpuConfig`] or a
+        /// cluster-level field.
+        device: Option<u32>,
+        /// The field name (e.g. `"clock_hz"`).
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let on = |device: &Option<u32>| match device {
+            Some(d) => format!("device {d}: "),
+            None => String::new(),
+        };
+        match self {
+            ConfigError::NoDevices => {
+                write!(f, "invalid config: a cluster needs at least one device")
+            }
+            ConfigError::NoSms { device } => {
+                write!(f, "invalid config: {}num_sms must be > 0", on(device))
+            }
+            ConfigError::NonPositiveRate {
+                device,
+                field,
+                value,
+            } => write!(
+                f,
+                "invalid config: {}{field} must be finite and > 0 (got {value})",
+                on(device)
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` iff `value` is finite and strictly positive.
+fn positive(device: Option<u32>, field: &'static str, value: f64) -> Result<(), ConfigError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::NonPositiveRate {
+            device,
+            field,
+            value,
+        })
     }
 }
 

@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::config::{ClusterConfig, GpuConfig, SM_CAPACITY_UNITS};
+use crate::config::{ClusterConfig, ConfigError, GpuConfig, SM_CAPACITY_UNITS};
 use crate::dim::Dim3;
 use crate::kernel::{BlockCtx, KernelSource, Step};
 use crate::mem::{BufferId, DType, GlobalMemory};
@@ -57,11 +57,6 @@ use crate::sem::{SemArrayId, SemTable, WaitLists};
 use crate::stats::{waves, KernelReport, RunReport};
 use crate::time::SimTime;
 use crate::trace::{KernelId, TraceEvent};
-
-/// Device-sharded conservative parallel execution (see [`ExecMode`]).
-/// A child module so it can reach the engine's private run state.
-#[path = "engine_par.rs"]
-pub(crate) mod par;
 
 /// Identifier of a CUDA stream created on a [`Gpu`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,8 +106,8 @@ pub fn default_engine_mode() -> EngineMode {
 }
 
 /// Sets the engine mode used by subsequent [`Gpu::new`] calls on this
-/// thread. Prefer the scoped [`with_engine_mode`] where possible.
-pub fn set_default_engine_mode(mode: EngineMode) {
+/// thread; only the scoped [`with_engine_mode`] calls it.
+fn set_default_engine_mode(mode: EngineMode) {
     DEFAULT_ENGINE.with(|m| m.set(mode));
 }
 
@@ -133,70 +128,6 @@ pub fn with_engine_mode<R>(mode: EngineMode, f: impl FnOnce() -> R) -> R {
     let _restore = Restore(default_engine_mode());
     set_default_engine_mode(mode);
     f()
-}
-
-/// Whether a run executes its event loop serially or sharded by device.
-///
-/// Orthogonal to [`EngineMode`]: `EngineMode` picks the event-loop
-/// *implementation* (reference spec vs optimized hot paths), `ExecMode`
-/// picks how many event loops advance at once. [`ExecMode::Parallel`]
-/// shards the optimized loop by device — each device drains its own heap
-/// up to the next link-crossing horizon, then devices exchange
-/// cross-device semaphore effects (a conservative PDES scheme; see
-/// `crates/sim/README.md`). Timelines are **bit-identical** to serial
-/// runs; pipelines the sharder cannot prove safe (non-`timing_static`
-/// kernels, waits on remote-homed semaphores, traces, single device, a
-/// zero-latency link) silently run serially.
-///
-/// The default is [`ExecMode::Serial`]. Opt in per cluster
-/// ([`ClusterConfig::with_exec`](crate::ClusterConfig::with_exec)), per
-/// session ([`Session::set_exec`](crate::Session::set_exec)), or globally
-/// via the `CUSYNC_EXEC=parallel` environment variable (how CI forces the
-/// equivalence suite through the sharded engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// One event loop advances the whole cluster (the original scheme).
-    #[default]
-    Serial,
-    /// Device-sharded conservative parallel execution where provably
-    /// safe; serial otherwise. Thread budget comes from
-    /// `std::thread::available_parallelism` unless overridden
-    /// ([`Session::set_threads`](crate::Session::set_threads)).
-    Parallel,
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecMode::Serial => write!(f, "serial"),
-            ExecMode::Parallel => write!(f, "parallel"),
-        }
-    }
-}
-
-/// The `CUSYNC_EXEC` environment override, read once per process:
-/// `parallel` / `serial` force that [`ExecMode`] for every run that does
-/// not carry an explicit session-level override.
-pub(crate) fn env_exec_override() -> Option<ExecMode> {
-    static ENV_EXEC: std::sync::OnceLock<Option<ExecMode>> = std::sync::OnceLock::new();
-    *ENV_EXEC.get_or_init(|| match std::env::var("CUSYNC_EXEC") {
-        Ok(v) if v.eq_ignore_ascii_case("parallel") => Some(ExecMode::Parallel),
-        Ok(v) if v.eq_ignore_ascii_case("serial") => Some(ExecMode::Serial),
-        _ => None,
-    })
-}
-
-/// Whether the optimized engine encodes `BlockResume` payloads inline in
-/// the event key's payload word instead of round-tripping the event slab.
-/// Identical timelines either way (ordering keys are untouched); this
-/// exists so `bench_pr7` can measure the shave honestly. Default on.
-static RESUME_INLINE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Toggles the inline `BlockResume` event encoding (bench instrumentation
-/// only; results are bit-identical either way).
-#[doc(hidden)]
-pub fn set_resume_inline(enabled: bool) {
-    RESUME_INLINE.store(enabled, std::sync::atomic::Ordering::Relaxed);
 }
 
 /// Event-slab payload tag for an inline-encoded `BlockResume` (high bit of
@@ -506,11 +437,20 @@ pub enum SimError {
     /// channel is still open, so a later wait may yet observe a result if
     /// the worker recovers.
     WorkerLost,
+    /// The hardware model cannot be priced (see [`ConfigError`]): raised
+    /// by [`Gpu::run`] and [`Gpu::compile`] before any event is simulated.
+    InvalidConfig(ConfigError),
 }
 
 impl From<BuildError> for SimError {
     fn from(e: BuildError) -> Self {
         SimError::Build(e)
+    }
+}
+
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> Self {
+        SimError::InvalidConfig(e)
     }
 }
 
@@ -534,6 +474,7 @@ impl fmt::Display for SimError {
                     "runtime worker produced no result within the wait deadline"
                 )
             }
+            SimError::InvalidConfig(e) => write!(f, "{e}"),
         }
     }
 }
@@ -543,6 +484,7 @@ impl std::error::Error for SimError {
         match self {
             SimError::Build(e) => Some(e),
             SimError::Deadlock(report) => Some(report.as_ref()),
+            SimError::InvalidConfig(e) => Some(e),
             SimError::AlreadyRan
             | SimError::RuntimeShutdown
             | SimError::WorkerPanic(_)
@@ -667,26 +609,6 @@ enum EventKind {
     },
     AtomicApply {
         block: usize,
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-    },
-    /// A semaphore post arriving from another device's shard (parallel
-    /// execution only). Like [`EventKind::PostApply`] but with no local
-    /// poster block to resume: the poster resumed on its own shard.
-    /// `poster` carries the posting kernel's index for the trace, so
-    /// sharded runs record the same [`TraceEvent::SemPosted`] a serial
-    /// run would.
-    RemotePost {
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-        poster: Option<usize>,
-    },
-    /// An atomic increment arriving from another device's shard (parallel
-    /// execution only). Bumps the semaphore value without waking waiters
-    /// or resuming a poster, mirroring [`EventKind::AtomicApply`].
-    RemoteAtomic {
         table: SemArrayId,
         index: u32,
         inc: u32,
@@ -1110,10 +1032,8 @@ pub(crate) struct RunState {
     /// Canonical trace of the most recent run: `trace_raw` finalized by a
     /// stable sort on `(time, device)` (see [`RunState::finalize_trace`]).
     trace: Vec<TraceEvent>,
-    /// Device-tagged events in recording order. Tagged with the device
-    /// that *owns* the event — the shard that records it under parallel
-    /// execution — so the canonical order is identical whether the run
-    /// was serial or device-sharded.
+    /// Events in recording order, each tagged with the device it belongs
+    /// to (see [`Exec::record`]).
     trace_raw: Vec<(u32, TraceEvent)>,
     pub(crate) trace_enabled: bool,
     busy_units: u64,
@@ -1220,11 +1140,14 @@ impl RunState {
     }
 
     /// Canonicalizes the raw device-tagged event buffer into `trace`: a
-    /// stable sort by `(time, device)`. Recording order within one device
-    /// is deterministic in both engines and in the device shards, so this
-    /// order is the *same* whether events were recorded by one serial loop
-    /// or by per-device shards merged in device order — the property the
-    /// parallel-engine trace tests pin down.
+    /// sort by `(time, device, recording order)`. Recording order alone is
+    /// not chronological — a wake is recorded at post time but stamped
+    /// with its later resume instant — so the time key files every event
+    /// where it happened. The device key then groups each instant's
+    /// events per device, so the canonical order does not depend on how
+    /// same-instant handlers on different devices happened to interleave;
+    /// within one device, recording order is deterministic and breaks the
+    /// remaining ties.
     pub(crate) fn finalize_trace(&mut self) {
         self.trace.clear();
         if self.trace_raw.is_empty() {
@@ -1281,9 +1204,6 @@ pub(crate) fn execute_with(
         abort_at: opts.abort_at,
         link_scale: opts.link_scale.filter(|s| !s.is_identity()),
         abort_flag: false,
-        shard: None,
-        window_end_ps: u64::MAX,
-        resume_inline: RESUME_INLINE.load(std::sync::atomic::Ordering::Relaxed),
         st,
     };
     ex.run_all()
@@ -1311,19 +1231,6 @@ struct Exec<'a> {
     /// `abort_at` retires; both event loops stop at the end of that
     /// timestamp batch.
     abort_flag: bool,
-    /// Device-shard context when this `Exec` is one shard of a parallel
-    /// run (see `engine_par`): cross-device semaphore effects are diverted
-    /// into its outbox instead of the local event heap. `None` for serial
-    /// runs — the cold branch every hot path keeps predictable.
-    shard: Option<&'a mut par::ShardCtx>,
-    /// Exclusive upper bound (picoseconds) of the current shard window.
-    /// Op-coalescing must not price past it: a delivery landing at the
-    /// horizon could wake a parked waiter and change mid-run state.
-    /// `u64::MAX` for serial runs, so the extra compare never fires.
-    window_end_ps: u64,
-    /// Cached [`RESUME_INLINE`]: encode `BlockResume` payloads inline in
-    /// the heap payload word, skipping the event slab round-trip.
-    resume_inline: bool,
     st: &'a mut RunState,
 }
 
@@ -1342,10 +1249,9 @@ impl Exec<'_> {
             EngineMode::Reference => self.run_reference_loop(),
             EngineMode::Optimized => self.run_optimized_loop(),
         }
-        if self.st.trace_enabled && self.shard.is_none() {
-            // Shards leave their raw buffers for `execute_sharded` to
-            // merge; serial runs canonicalize in every exit path so the
-            // trace is readable even after an abort or deadlock.
+        if self.st.trace_enabled {
+            // Canonicalize in every exit path so the trace is readable
+            // even after an abort or deadlock.
             self.st.finalize_trace();
         }
         let incomplete: Vec<usize> = (0..self.desc.kernels.len())
@@ -1392,16 +1298,13 @@ impl Exec<'_> {
                 let key = ((time.as_picos() as u128) << 64) | seq as u128;
                 // `BlockResume` dominates the event mix; encode its block
                 // id inline in the payload word (high-bit tagged) and skip
-                // the slab round-trip. The ordering key is untouched, so
-                // timelines are bit-identical with the shave on or off.
-                if self.resume_inline {
-                    if let EventKind::BlockResume(b) = kind {
-                        debug_assert!((b as u32) < RESUME_TAG);
-                        self.st
-                            .fast_events
-                            .push(Reverse((key, RESUME_TAG | b as u32)));
-                        return;
-                    }
+                // the slab round-trip. The ordering key is untouched.
+                if let EventKind::BlockResume(b) = kind {
+                    debug_assert!((b as u32) < RESUME_TAG);
+                    self.st
+                        .fast_events
+                        .push(Reverse((key, RESUME_TAG | b as u32)));
+                    return;
                 }
                 let idx = match self.st.event_free.pop() {
                     Some(i) => {
@@ -1427,10 +1330,9 @@ impl Exec<'_> {
         self.st.event_slab[idx as usize]
     }
 
-    /// Appends to the trace, tagged with the *owning* device — the shard
-    /// that records the event under parallel execution (the kernel's
-    /// device for kernel/block events, the semaphore's home device for
-    /// posts, the waiter's device for wakes). The flag check is inlined
+    /// Appends to the trace, tagged with the device the event belongs to:
+    /// the kernel's device for kernel/block events, the semaphore's home
+    /// device for posts, the waiter's device for wakes. The flag check is inlined
     /// at every call site so a disabled trace costs one predictable
     /// branch — never a `Vec` touch or an event construction that the
     /// optimizer can't sink.
@@ -1570,19 +1472,6 @@ impl Exec<'_> {
                 let prev = self.st.sems.add(table, index, inc);
                 self.st.blocks[block].atomic_result = Some(prev);
                 self.push_event(self.st.now, EventKind::BlockResume(block));
-            }
-            EventKind::RemotePost {
-                table,
-                index,
-                inc,
-                poster,
-            } => {
-                self.apply_post_inner(table, index, inc, poster.map(KernelId));
-            }
-            EventKind::RemoteAtomic { table, index, inc } => {
-                // Mirrors `AtomicApply`: bump only, no waiter wakes. The
-                // fetching block resumed on its own shard.
-                self.st.sems.add(table, index, inc);
             }
         }
     }
@@ -2071,18 +1960,10 @@ impl Exec<'_> {
     /// In [`EngineMode::Reference`] this is constantly `false`, which
     /// makes [`Exec::step_block`] collapse to the original
     /// one-op-per-event behaviour.
-    /// In a parallel shard the bound additionally stops strictly before
-    /// `window_end_ps`: a cross-device delivery landing exactly at the
-    /// horizon could wake a parked waiter and change the occupancy state
-    /// this coalesced run is pricing against. Breaking the run early is
-    /// always sound (it converges to the reference one-op-per-event
-    /// behaviour); for serial runs `window_end_ps` is `u64::MAX`, so the
-    /// extra compare is a never-taken predictable branch.
     #[inline]
     fn can_extend_run(&self, until: SimTime) -> bool {
         self.mode == EngineMode::Optimized
             && !self.st.issue_dirty
-            && until.as_picos() < self.window_end_ps
             && match self.st.fast_events.peek() {
                 Some(&Reverse((key, _))) => (key >> 64) as u64 > until.as_picos(),
                 None => true,
@@ -2250,9 +2131,6 @@ impl Exec<'_> {
                 // A post to a remote device's array becomes visible one
                 // link traversal later than a local one.
                 let t = self.st.now + self.atomic_cost(self.block_device(bid), table);
-                if self.divert_remote(bid, t, table, index, inc, true) {
-                    return;
-                }
                 self.push_event(
                     t,
                     EventKind::PostApply {
@@ -2265,9 +2143,6 @@ impl Exec<'_> {
             }
             Op::AtomicAdd { table, index, inc } => {
                 let t = self.st.now + self.atomic_cost(self.block_device(bid), table);
-                if self.divert_remote(bid, t, table, index, inc, false) {
-                    return;
-                }
                 self.push_event(
                     t,
                     EventKind::AtomicApply {
@@ -2282,79 +2157,16 @@ impl Exec<'_> {
         }
     }
 
-    /// Shard-mode interception of a cross-device semaphore effect: when
-    /// this `Exec` is one shard of a parallel run and `table` is homed on
-    /// another device, the effect is queued in the shard's outbox for
-    /// delivery after the window barrier, and the poster resumes locally
-    /// at the same instant `t` the serial apply handler would have resumed
-    /// it. Returns `false` (do nothing) for serial runs and local tables.
-    ///
-    /// The apply time `t` already includes the link traversal
-    /// ([`Exec::atomic_cost`]), so `t >= window horizon` always holds —
-    /// the conservative-lookahead invariant that makes delivery after the
-    /// barrier safe.
-    fn divert_remote(
-        &mut self,
-        bid: usize,
-        t: SimTime,
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-        post: bool,
-    ) -> bool {
-        let home = self.st.sems.device(table);
-        let device = self.block_device(bid);
-        if home == device {
-            return false;
-        }
-        let Some(shard) = self.shard.as_deref_mut() else {
-            return false;
-        };
-        debug_assert_eq!(shard.device, device);
-        debug_assert!(
-            t.as_picos() >= self.window_end_ps,
-            "remote effect applies inside the window it was produced in"
-        );
-        let ordinal = shard.sent_ordinal;
-        shard.sent_ordinal += 1;
-        let poster = self.st.blocks[bid].kernel;
-        shard.outbox.push(par::OutMsg {
-            time: t,
-            table,
-            index,
-            inc,
-            post,
-            poster: Some(poster),
-            src: device,
-            ordinal,
-        });
-        // The serial engine suspends the poster until the apply instant
-        // and resumes it from the apply handler; re-create that resume
-        // locally. (A remote `AtomicAdd`'s fetched previous value is not
-        // reproduced — pre-driven blocks, the only ones eligible for
-        // sharding, never read `atomic_result`.)
-        self.push_event(t, EventKind::BlockResume(bid));
-        true
-    }
-
     fn apply_post(&mut self, poster: usize, table: SemArrayId, index: u32, inc: u32) {
         let poster_kernel = KernelId(self.st.blocks[poster].kernel);
-        self.apply_post_inner(table, index, inc, Some(poster_kernel));
+        self.apply_post_inner(table, index, inc, poster_kernel);
         self.push_event(self.st.now, EventKind::BlockResume(poster));
     }
 
     /// The poster-independent half of [`Exec::apply_post`]: bump the
-    /// semaphore and wake satisfied waiters. Also the entire handler for a
-    /// [`EventKind::RemotePost`], whose poster resumed on its own shard
-    /// (its identity travels in the message so the trace is shard-
-    /// invariant).
-    fn apply_post_inner(
-        &mut self,
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-        poster: Option<KernelId>,
-    ) {
+    /// semaphore and wake satisfied waiters. Also the whole of a kernel's
+    /// grid-completion post, which has no posting block to resume.
+    fn apply_post_inner(&mut self, table: SemArrayId, index: u32, inc: u32, poster: KernelId) {
         self.st.sems.add(table, index, inc);
         let new_value = self.st.sems.value(table, index);
         self.record(
@@ -2363,7 +2175,7 @@ impl Exec<'_> {
                 table,
                 index,
                 new_value,
-                poster,
+                poster: Some(poster),
                 time: self.st.now,
             },
         );
@@ -2494,7 +2306,7 @@ impl Exec<'_> {
             // stream-serialized dependents.
             let desc = self.desc;
             for &(table, index) in &desc.kernels[k].completion_posts {
-                self.apply_post_inner(table, index, 1, Some(KernelId(k)));
+                self.apply_post_inner(table, index, 1, KernelId(k));
             }
             for &dep in &desc.completion_dependents[k] {
                 if self.st.prereqs[dep] == 1 {
@@ -2905,11 +2717,14 @@ impl Gpu {
     ///
     /// Returns [`SimError::Deadlock`] if execution stalls with incomplete
     /// kernels — every resident block waiting on a semaphore that nothing
-    /// can post — and [`SimError::AlreadyRan`] if this [`Gpu`] already ran.
+    /// can post — [`SimError::AlreadyRan`] if this [`Gpu`] already ran, and
+    /// [`SimError::InvalidConfig`] if the hardware model fails
+    /// [`ClusterConfig::validate`].
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         if self.ran {
             return Err(SimError::AlreadyRan);
         }
+        self.desc.cluster.validate()?;
         self.ran = true;
         self.desc.finalize_flags(&self.st.mem);
         let programs = if self.mode == EngineMode::Optimized {
@@ -2922,28 +2737,6 @@ impl Gpu {
         self.st.reset(&self.desc);
         self.st.trace_enabled = trace_enabled;
         let sched = self.sched();
-        // One-shot runs honor the parallel engine too (env variable or
-        // cluster config; there is no session here to carry an override).
-        let exec = env_exec_override().unwrap_or_else(|| self.desc.cluster.effective_exec());
-        if exec == ExecMode::Parallel && self.mode == EngineMode::Optimized {
-            let shardable = par::shardable(&self.desc, &programs, &self.st.sems);
-            let threads = par::thread_budget(self.desc.cluster.devices.len(), 0);
-            let mut pool = Vec::new();
-            return match par::execute_auto(
-                &self.desc,
-                &programs,
-                self.mode,
-                sched.as_ref(),
-                &mut self.st,
-                RunOptions::default(),
-                shardable,
-                threads,
-                &mut pool,
-            )? {
-                RunOutcome::Complete(report) => Ok(report),
-                RunOutcome::Aborted(_) => unreachable!("no abort horizon was requested"),
-            };
-        }
         execute(
             &self.desc,
             &programs,

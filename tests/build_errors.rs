@@ -1,11 +1,18 @@
 //! `BuildError` coverage for every kernel builder: missing operands and
 //! zero-extent shapes must surface as *typed* errors — never panics —
-//! from all four builders (Gemm, Conv2D, SoftmaxDropout, StreamK).
+//! from all four builders (Gemm, Conv2D, SoftmaxDropout, StreamK). Invalid
+//! hardware models likewise surface as `SimError::InvalidConfig` from
+//! `Gpu::run` and `Gpu::compile`, never as a timeline or a deadlock.
+
+use std::sync::Arc;
 
 use cusync_kernels::{
     Conv2DBuilder, Conv2DShape, GemmBuilder, GemmDims, SoftmaxDropoutBuilder, TileShape,
 };
-use cusync_sim::{BuildError, BuildErrorKind, GpuConfig, SimError};
+use cusync_sim::{
+    BuildError, BuildErrorKind, ClusterConfig, ConfigError, Dim3, FixedKernel, Gpu, GpuConfig, Op,
+    RunReport, SimError,
+};
 use cusync_streamk::StreamKBuilder;
 
 fn v100() -> GpuConfig {
@@ -261,5 +268,171 @@ fn sim_error_display_and_source_cover_every_variant() {
     ] {
         assert!(err.to_string().contains(fragment), "{err}");
         assert!(err.source().is_none());
+    }
+}
+
+/// An 8-block `Op::compute(50_000)` kernel on `cluster`.
+fn compute_probe(cluster: ClusterConfig) -> Gpu {
+    let mut gpu = Gpu::new_cluster(cluster);
+    let s = gpu.create_stream(0);
+    gpu.launch(
+        s,
+        Arc::new(FixedKernel::new(
+            "probe",
+            Dim3::linear(8),
+            1,
+            vec![Op::compute(50_000)],
+        )),
+    );
+    gpu
+}
+
+/// Runs the probe one-shot and compiles a second copy, returning both
+/// outcomes.
+fn probe_outcomes(cluster: ClusterConfig) -> (Result<RunReport, SimError>, Option<SimError>) {
+    let run = compute_probe(cluster.clone()).run();
+    let compiled = compute_probe(cluster).compile().err();
+    (run, compiled)
+}
+
+/// A clock or bandwidth that is NaN, negative, zero or infinite, or a
+/// device without SMs, used to price to a plausible-looking timeline (NaN
+/// and negative clocks ran *faster* than the valid config, a zero clock
+/// saturated, zero SMs reported a deadlock). Every such model is now a
+/// typed `InvalidConfig` from both `Gpu::run` and `Gpu::compile`.
+#[test]
+fn invalid_configs_are_typed_errors_never_timelines_or_deadlocks() {
+    let (valid, compiled) = probe_outcomes(ClusterConfig::single(v100()));
+    assert!(valid.is_ok(), "{valid:?}");
+    assert!(compiled.is_none(), "{compiled:?}");
+
+    let gpu_probes = [
+        (
+            "clock_hz",
+            GpuConfig {
+                clock_hz: f64::NAN,
+                ..v100()
+            },
+        ),
+        (
+            "clock_hz",
+            GpuConfig {
+                clock_hz: -1.0,
+                ..v100()
+            },
+        ),
+        (
+            "clock_hz",
+            GpuConfig {
+                clock_hz: 0.0,
+                ..v100()
+            },
+        ),
+        (
+            "clock_hz",
+            GpuConfig {
+                clock_hz: f64::INFINITY,
+                ..v100()
+            },
+        ),
+        (
+            "num_sms",
+            GpuConfig {
+                num_sms: 0,
+                ..v100()
+            },
+        ),
+        (
+            "dram_bytes_per_sec",
+            GpuConfig {
+                dram_bytes_per_sec: f64::NAN,
+                ..v100()
+            },
+        ),
+        (
+            "dram_bytes_per_sec",
+            GpuConfig {
+                dram_bytes_per_sec: 0.0,
+                ..v100()
+            },
+        ),
+        (
+            "dram_bytes_per_sec",
+            GpuConfig {
+                dram_bytes_per_sec: -9e11,
+                ..v100()
+            },
+        ),
+    ];
+    let mut probes: Vec<(&str, ClusterConfig)> = gpu_probes
+        .iter()
+        .map(|(field, gpu)| {
+            assert!(gpu.validate().is_err(), "{field}: {gpu:?}");
+            (*field, ClusterConfig::single(gpu.clone()))
+        })
+        .collect();
+    for link in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+        let mut node = ClusterConfig::dgx_v100(2);
+        node.link_bytes_per_sec = link;
+        probes.push(("link_bytes_per_sec", node));
+    }
+    let mut node = ClusterConfig::dgx_v100(2);
+    node.devices[1].clock_hz = f64::NAN;
+    probes.push(("device 1: clock_hz", node));
+
+    for (what, cluster) in probes {
+        let (run, compiled) = probe_outcomes(cluster);
+        match run {
+            Err(SimError::InvalidConfig(e)) => {
+                assert!(e.to_string().contains(what), "{what}: {e}");
+            }
+            other => panic!("{what}: run must be InvalidConfig, got {other:?}"),
+        }
+        assert!(
+            matches!(compiled, Some(SimError::InvalidConfig(_))),
+            "{what}: compile must be InvalidConfig, got {compiled:?}"
+        );
+    }
+
+    let empty = ClusterConfig {
+        devices: Vec::new(),
+        ..ClusterConfig::dgx_v100(1)
+    };
+    assert_eq!(empty.validate(), Err(ConfigError::NoDevices));
+
+    // The error chains and renders like the other typed errors.
+    use std::error::Error as _;
+    let err: SimError = ConfigError::NoSms { device: Some(3) }.into();
+    assert!(err.to_string().contains("device 3: num_sms"), "{err}");
+    assert!(err.source().is_some());
+}
+
+/// Every shipped hardware preset passes validation.
+#[test]
+fn shipped_constructors_validate() {
+    for gpu in [
+        GpuConfig::tesla_v100(),
+        GpuConfig::ampere_a100(),
+        GpuConfig::toy(1),
+        GpuConfig::toy(4),
+        GpuConfig::default(),
+    ] {
+        assert_eq!(gpu.validate(), Ok(()), "{}", gpu.name);
+        assert_eq!(ClusterConfig::single(gpu.clone()).validate(), Ok(()));
+    }
+    for n in [1, 2, 4, 8] {
+        assert_eq!(
+            ClusterConfig::dgx_v100(n).validate(),
+            Ok(()),
+            "dgx_v100({n})"
+        );
+        for gpu in [GpuConfig::tesla_v100(), GpuConfig::ampere_a100()] {
+            assert_eq!(
+                ClusterConfig::nvlink_ring(n, gpu.clone()).validate(),
+                Ok(()),
+                "nvlink_ring({n}, {})",
+                gpu.name
+            );
+        }
     }
 }

@@ -24,8 +24,8 @@ use cusync_models::{
 };
 use cusync_sim::{
     run_compiled, with_engine_mode, ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode,
-    ExecMode, FixedKernel, Gpu, GpuConfig, LaunchGate, LinkScale, Op, RunReport, SchedPolicyKind,
-    Session, SimError, SimTime,
+    FixedKernel, Gpu, GpuConfig, LaunchGate, LinkScale, Op, RunReport, SchedPolicyKind, Session,
+    SimError, SimTime,
 };
 use proptest::prelude::*;
 
@@ -461,60 +461,43 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel (device-sharded) engine axis
+// Multi-device session axis
 //
-// The conservative device-sharded engine (`ExecMode::Parallel`) promises
-// the same bit-identity contract the optimized engine does: serial
-// reference ≡ serial optimized ≡ parallel, on every workload, whether it
-// runs sharded or falls back to the serial path. These tests pin that
-// three-way equivalence on fixed graphs (1-4 devices, every SchedPolicy
-// variant), on randomized local-wait workloads where the sharded path
-// genuinely executes, and on the session knobs (`run_until`,
-// `set_link_scale`) the parallel engine must honour.
+// Compiled multi-device pipelines run through `Session`s of each engine:
+// fixed graphs (1-4 devices, every SchedPolicy variant), randomized
+// workloads whose waits are home-local while posts cross the
+// interconnect, the session knobs (`run_until`, `set_link_scale`), and
+// traces event for event.
 // ---------------------------------------------------------------------------
 
-/// Runs a compiled pipeline through a fresh optimized session with the
-/// given execution mode and thread budget.
-fn run_exec(pipeline: &CompiledPipeline, exec: ExecMode, threads: usize) -> RunReport {
-    let mut session = Session::with_mode(EngineMode::Optimized);
-    session.set_exec(Some(exec));
-    session.set_threads(threads);
-    session.run(pipeline).expect("pipeline runs")
+/// Runs a compiled pipeline through a fresh session of the given engine.
+fn run_mode(pipeline: &CompiledPipeline, mode: EngineMode) -> RunReport {
+    Session::with_mode(mode)
+        .run(pipeline)
+        .expect("pipeline runs")
 }
 
-/// Tensor-parallel layers — the flagship multi-device workload — must be
-/// bit-identical between the serial and device-sharded engines across
-/// device counts, schedules and thread budgets. Multi-device TP layers
-/// must also be *eligible* for sharding (their waits are all home-local),
-/// so the parallel runs here exercise the sharded path for real.
+/// Tensor-parallel layers — the flagship multi-device workload — compiled
+/// once and run through a session of each engine must be bit-identical
+/// across device counts (including the 1-device degenerate case) and
+/// schedules.
 #[test]
 fn tensor_parallel_layers_are_parallel_engine_invariant() {
     for devices in 1u32..=4 {
         let cluster = ClusterConfig::dgx_v100(devices);
         for schedule in [TpSchedule::Serialized, TpSchedule::Overlap] {
             let pipeline = compile_tp_layer(&cluster, tp_mlp(4096, 256), schedule);
-            if devices >= 2 {
-                assert!(
-                    pipeline.shardable(),
-                    "TP layer (devices={devices}) should be shardable"
-                );
-            }
-            let serial = run_exec(&pipeline, ExecMode::Serial, 1);
-            for threads in [1usize, 2, 4] {
-                let parallel = run_exec(&pipeline, ExecMode::Parallel, threads);
-                assert_reports_identical(
-                    &serial,
-                    &parallel,
-                    &format!("tp devices={devices} {schedule:?} threads={threads}"),
-                );
-            }
+            assert_reports_identical(
+                &run_mode(&pipeline, EngineMode::Reference),
+                &run_mode(&pipeline, EngineMode::Optimized),
+                &format!("tp devices={devices} {schedule:?}"),
+            );
         }
     }
 }
 
-/// Every block-scheduling policy must produce the same outcome under the
-/// parallel engine as under the serial one — the shard-stable policies
-/// (all four built-ins) by running sharded, anything else by falling back.
+/// Every block-scheduling policy must produce the same outcome under both
+/// engines on multi-device TP attention.
 #[test]
 fn sched_policies_are_parallel_engine_invariant() {
     for devices in [2u32, 4] {
@@ -526,35 +509,32 @@ fn sched_policies_are_parallel_engine_invariant() {
             SchedPolicyKind::SeededShuffle(0xC0FFEE),
             SchedPolicyKind::SemStarver,
         ] {
-            let run = |exec: ExecMode| {
-                let mut session = Session::with_mode(EngineMode::Optimized);
+            let run = |mode: EngineMode| {
+                let mut session = Session::with_mode(mode);
                 session.set_sched(Some(kind.instantiate()));
-                session.set_exec(Some(exec));
-                session.set_threads(2);
                 session.run(&pipeline)
             };
-            match (run(ExecMode::Serial), run(ExecMode::Parallel)) {
-                (Ok(serial), Ok(parallel)) => assert_reports_identical(
-                    &serial,
-                    &parallel,
+            match (run(EngineMode::Reference), run(EngineMode::Optimized)) {
+                (Ok(reference), Ok(optimized)) => assert_reports_identical(
+                    &reference,
+                    &optimized,
                     &format!("policy {kind} devices={devices}"),
                 ),
-                (Err(serial), Err(parallel)) => {
-                    assert_eq!(serial, parallel, "policy {kind} devices={devices}: errors")
-                }
-                (serial, parallel) => panic!(
+                (Err(reference), Err(optimized)) => assert_eq!(
+                    reference, optimized,
+                    "policy {kind} devices={devices}: errors"
+                ),
+                (reference, optimized) => panic!(
                     "policy {kind} devices={devices}: outcomes diverge \
-                     ({serial:?} vs {parallel:?})"
+                     ({reference:?} vs {optimized:?})"
                 ),
             }
         }
     }
 }
 
-/// A deadlock on one device of a multi-device, shard-eligible workload:
-/// the parallel engine detects the stall (its shard heaps drain with
-/// kernels incomplete), abandons the sharded attempt, and the serial
-/// rerun must produce the *identical* `DeadlockReport`.
+/// A deadlock on one device of a multi-device workload whose wait is
+/// home-local: both engines must produce the *identical* `DeadlockReport`.
 #[test]
 fn deadlock_reports_are_parallel_engine_invariant() {
     let device = GpuConfig {
@@ -591,87 +571,74 @@ fn deadlock_reports_are_parallel_engine_invariant() {
         )),
     );
     let pipeline = gpu.compile().unwrap();
-    assert!(pipeline.shardable(), "the wait is home-local");
-    let err = |exec: ExecMode| {
-        let mut session = Session::with_mode(EngineMode::Optimized);
-        session.set_exec(Some(exec));
-        session.set_threads(2);
-        session.run(&pipeline).unwrap_err()
-    };
-    let serial = err(ExecMode::Serial);
-    let parallel = err(ExecMode::Parallel);
-    assert_eq!(serial, parallel, "deadlock blocked/pending sets");
-    let SimError::Deadlock(report) = parallel else {
+    let err = |mode: EngineMode| Session::with_mode(mode).run(&pipeline).unwrap_err();
+    let reference = err(EngineMode::Reference);
+    let optimized = err(EngineMode::Optimized);
+    assert_eq!(reference, optimized, "deadlock blocked/pending sets");
+    let SimError::Deadlock(report) = optimized else {
         panic!("expected a deadlock");
     };
     assert_eq!(report.pending_names().len(), 2);
     assert_eq!(report.blocked.len(), 4);
 }
 
-/// `Session::run_until` under the parallel engine: checkpoint residues
-/// and completed reports must be bit-identical to serial runs, for
+/// `Session::run_until` on a multi-device TP layer: checkpoint residues
+/// and completed reports must be bit-identical between the engines, for
 /// horizons mid-run, exactly at a kernel boundary, and past the end.
 #[test]
 fn run_until_checkpoints_identically_under_parallel_engine() {
     let cluster = ClusterConfig::dgx_v100(2);
     let pipeline = compile_tp_layer(&cluster, tp_mlp(4096, 256), TpSchedule::Serialized);
-    let mut probe = Session::with_mode(EngineMode::Optimized);
-    let full = probe.run(&pipeline).unwrap();
+    let full = run_mode(&pipeline, EngineMode::Optimized);
     let first_end = full.kernels.iter().map(|k| k.end).min().unwrap();
     for horizon in [
         SimTime::from_picos(1),
         first_end,
         full.total + SimTime::from_nanos(1),
     ] {
-        let outcome = |exec: ExecMode| {
-            let mut session = Session::with_mode(EngineMode::Optimized);
-            session.set_exec(Some(exec));
-            session.set_threads(2);
-            session.run_until(&pipeline, horizon).unwrap()
+        let outcome = |mode: EngineMode| {
+            Session::with_mode(mode)
+                .run_until(&pipeline, horizon)
+                .unwrap()
         };
         assert_eq!(
-            outcome(ExecMode::Serial),
-            outcome(ExecMode::Parallel),
+            outcome(EngineMode::Reference),
+            outcome(EngineMode::Optimized),
             "run_until horizon={horizon}"
         );
     }
 }
 
-/// `Session::set_link_scale` under the parallel engine: degraded-link
-/// pricing is applied per shard (each device prices its own `LinkSend`s),
-/// and the result must be bit-identical to the serial engine.
+/// `Session::set_link_scale` on a 4-device ring allreduce: degraded-link
+/// pricing must be bit-identical between the engines, and slower than the
+/// healthy link.
 #[test]
 fn link_scale_prices_identically_under_parallel_engine() {
     let mut gpu = Gpu::new_cluster(ClusterConfig::dgx_v100(4));
     let streams: Vec<_> = (0..4).map(|d| gpu.create_stream_on(d, 0)).collect();
     launch_ring_allreduce(&mut gpu, "ar", 4 << 20, &streams);
     let pipeline = gpu.compile().unwrap();
-    assert!(pipeline.shardable(), "ring allreduce waits are home-local");
-    let healthy = run_exec(&pipeline, ExecMode::Parallel, 2);
+    let healthy = run_mode(&pipeline, EngineMode::Optimized);
     for scale in [LinkScale::times(6), LinkScale::ratio(3, 2)] {
-        let run = |exec: ExecMode| {
-            let mut session = Session::with_mode(EngineMode::Optimized);
+        let run = |mode: EngineMode| {
+            let mut session = Session::with_mode(mode);
             session.set_link_scale(Some(scale));
-            session.set_exec(Some(exec));
-            session.set_threads(2);
             session.run(&pipeline).expect("degraded run completes")
         };
-        let serial = run(ExecMode::Serial);
-        let parallel = run(ExecMode::Parallel);
-        assert_reports_identical(&serial, &parallel, &format!("link scale {scale:?}"));
+        let reference = run(EngineMode::Reference);
+        let optimized = run(EngineMode::Optimized);
+        assert_reports_identical(&reference, &optimized, &format!("link scale {scale:?}"));
         assert!(
-            serial.total > healthy.total,
+            optimized.total > healthy.total,
             "a degraded link must slow the collective"
         );
     }
 }
 
 /// Builds a randomized multi-device workload whose semaphore *waits* are
-/// all homed on the waiting kernel's own device (posts still cross the
-/// interconnect) — the eligibility contract of the device-sharded engine
-/// — so the parallel runs below exercise the sharded path for real.
-/// Kernel 0 posts every device's home array and is launched first, so no
-/// launch order can deadlock (same argument as
+/// all homed on the waiting kernel's own device while posts still cross
+/// the interconnect. Kernel 0 posts every device's home array and is
+/// launched first, so no launch order can deadlock (same argument as
 /// [`random_cluster_workload`]).
 fn random_local_wait_workload(seed: u64, devices: u32, gpu: &mut Gpu) {
     let mut g = Gen(seed ^ 0x517C_C1B7_2722_0A95);
@@ -713,121 +680,100 @@ fn random_local_wait_workload(seed: u64, devices: u32, gpu: &mut Gpu) {
     }
 }
 
+/// A compiled [`random_local_wait_workload`] on `devices` toy GPUs.
+fn local_wait_pipeline(seed: u64, devices: u32, sms: u32) -> CompiledPipeline {
+    let cluster = ClusterConfig {
+        devices: vec![GpuConfig::toy(sms); devices as usize],
+        link_latency: SimTime::from_nanos(2_500),
+        link_bytes_per_sec: 100e9,
+    };
+    let mut gpu = Gpu::new_cluster(cluster);
+    random_local_wait_workload(seed, devices, &mut gpu);
+    gpu.compile().expect("local-wait workload compiles")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: for arbitrary shard-eligible multi-device workloads
-    /// (2-4 devices, home-local waits, cross-device posts, link sends,
-    /// mixed priorities) the reference, serial-optimized and parallel
-    /// engines produce bit-identical timelines.
+    /// Property: for arbitrary multi-device workloads with home-local
+    /// waits (2-4 devices, cross-device posts, link sends, mixed
+    /// priorities), compiled pipelines run through reference and
+    /// optimized sessions produce bit-identical timelines.
     #[test]
     fn random_local_wait_pipelines_are_parallel_engine_invariant(
         devices in 2u32..5,
         sms in 2u32..5,
         seed in 0u64..u64::MAX,
     ) {
-        let cluster = ClusterConfig {
-            devices: vec![GpuConfig::toy(sms); devices as usize],
-            link_latency: SimTime::from_nanos(2_500),
-            link_bytes_per_sec: 100e9,
-        };
-        let mut gpu = Gpu::new_cluster(cluster);
-        random_local_wait_workload(seed, devices, &mut gpu);
-        let pipeline = gpu.compile().expect("local-wait workload compiles");
-        prop_assert!(pipeline.shardable(), "all waits are home-local");
-        let reference = {
-            let mut session = Session::with_mode(EngineMode::Reference);
-            session.run(&pipeline).expect("reference run")
-        };
-        let serial = run_exec(&pipeline, ExecMode::Serial, 1);
-        let parallel = run_exec(&pipeline, ExecMode::Parallel, 4);
-        prop_assert_eq!(&reference.kernels, &serial.kernels);
-        prop_assert_eq!(&serial.kernels, &parallel.kernels);
-        prop_assert_eq!(serial.total, parallel.total);
-        prop_assert_eq!(serial.sem_posts, parallel.sem_posts);
-        prop_assert_eq!(serial.sm_utilization, parallel.sm_utilization);
-        prop_assert_eq!(serial.races, parallel.races);
-        prop_assert_eq!(reference.total, serial.total);
-        prop_assert_eq!(reference.sm_utilization, serial.sm_utilization);
+        let pipeline = local_wait_pipeline(seed, devices, sms);
+        let reference = run_mode(&pipeline, EngineMode::Reference);
+        let optimized = run_mode(&pipeline, EngineMode::Optimized);
+        prop_assert_eq!(&reference.kernels, &optimized.kernels);
+        prop_assert_eq!(reference.total, optimized.total);
+        prop_assert_eq!(reference.sem_posts, optimized.sem_posts);
+        prop_assert_eq!(reference.sm_utilization, optimized.sm_utilization);
+        prop_assert_eq!(reference.races, optimized.races);
+        prop_assert!(optimized.sim_events <= reference.sim_events);
     }
 }
 
 /// Tracing is **passive**: enabling it changes nothing observable. The
 /// same pipeline run with tracing on and off must produce bit-identical
-/// reports under the reference engine, the serial optimized engine, and
-/// the device-sharded parallel engine — the contract the observability
-/// layer (`crates/obs`) is built on.
+/// reports under the reference and the optimized engine — the contract
+/// the observability layer (`crates/obs`) is built on.
 #[test]
 fn tracing_is_passive_in_every_engine() {
     let cluster = ClusterConfig::dgx_v100(2);
     let pipeline = compile_tp_layer(&cluster, tp_mlp(4096, 256), TpSchedule::Overlap);
-    assert!(pipeline.shardable(), "TP layer shards");
-    let run = |mode: EngineMode, exec: Option<ExecMode>, trace: bool| {
+    let run = |mode: EngineMode, trace: bool| {
         let mut session = Session::with_mode(mode);
-        session.set_exec(exec);
-        session.set_threads(2);
         if trace {
             session.enable_trace();
         }
         session.run(&pipeline).expect("TP layer runs")
     };
-    for (what, mode, exec) in [
-        ("reference", EngineMode::Reference, None),
-        (
-            "optimized-serial",
-            EngineMode::Optimized,
-            Some(ExecMode::Serial),
-        ),
-        (
-            "optimized-parallel",
-            EngineMode::Optimized,
-            Some(ExecMode::Parallel),
-        ),
-    ] {
-        let untraced = run(mode, exec, false);
-        let traced = run(mode, exec, true);
-        assert_eq!(untraced, traced, "{what}: tracing perturbed the run");
+    for mode in [EngineMode::Reference, EngineMode::Optimized] {
+        let untraced = run(mode, false);
+        let traced = run(mode, true);
+        assert_eq!(untraced, traced, "{mode}: tracing perturbed the run");
     }
 }
 
-/// The device-sharded engine records the **same trace** the serial engine
-/// does, event for event: per-shard buffers merged in canonical order
-/// must reproduce the serial interleaving exactly.
+/// Runs `pipeline` traced through a fresh session of `mode` and returns
+/// the canonical trace.
+fn traced(pipeline: &CompiledPipeline, mode: EngineMode) -> Vec<cusync_sim::TraceEvent> {
+    let mut session = Session::with_mode(mode);
+    session.enable_trace();
+    session.run(pipeline).expect("pipeline runs");
+    session.trace().to_vec()
+}
+
+/// The optimized engine records the **same trace** the reference engine
+/// does, event for event, on TP layers and a link-send heavy ring
+/// allreduce.
 #[test]
 fn parallel_traces_match_serial_traces_event_for_event() {
-    let traced = |pipeline: &CompiledPipeline, exec: ExecMode, threads: usize| {
-        let mut session = Session::with_mode(EngineMode::Optimized);
-        session.set_exec(Some(exec));
-        session.set_threads(threads);
-        session.enable_trace();
-        session.run(pipeline).expect("pipeline runs");
-        session.trace().to_vec()
-    };
     for devices in [2u32, 4] {
         let cluster = ClusterConfig::dgx_v100(devices);
         for schedule in [TpSchedule::Serialized, TpSchedule::Overlap] {
             let pipeline = compile_tp_layer(&cluster, tp_mlp(4096, 256), schedule);
-            assert!(pipeline.shardable());
-            let serial = traced(&pipeline, ExecMode::Serial, 1);
-            assert!(!serial.is_empty(), "TP layer records events");
-            for threads in [2usize, 4] {
-                let parallel = traced(&pipeline, ExecMode::Parallel, threads);
-                assert_eq!(
-                    serial, parallel,
-                    "devices={devices} {schedule:?} threads={threads}: trace diverged"
-                );
-            }
+            let reference = traced(&pipeline, EngineMode::Reference);
+            assert!(!reference.is_empty(), "TP layer records events");
+            assert_eq!(
+                reference,
+                traced(&pipeline, EngineMode::Optimized),
+                "devices={devices} {schedule:?}: trace diverged"
+            );
         }
     }
-    // Ring allreduce: link-send heavy, every shard posts cross-device.
+    // Ring allreduce: link-send heavy, every device posts cross-device.
     let mut gpu = Gpu::new_cluster(ClusterConfig::dgx_v100(4));
     let streams: Vec<_> = (0..4).map(|d| gpu.create_stream_on(d, 0)).collect();
     launch_ring_allreduce(&mut gpu, "ar", 4 << 20, &streams);
     let pipeline = gpu.compile().unwrap();
-    assert!(pipeline.shardable());
     assert_eq!(
-        traced(&pipeline, ExecMode::Serial, 1),
-        traced(&pipeline, ExecMode::Parallel, 4),
+        traced(&pipeline, EngineMode::Reference),
+        traced(&pipeline, EngineMode::Optimized),
         "allreduce trace diverged"
     );
 }
@@ -835,43 +781,30 @@ fn parallel_traces_match_serial_traces_event_for_event() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property: on arbitrary shard-eligible workloads, the parallel
-    /// engine's merged trace is identical to the serial engine's, and
-    /// tracing never perturbs the report.
+    /// Property: on arbitrary home-local-wait workloads, the optimized
+    /// engine's trace is identical to the reference engine's, and tracing
+    /// never perturbs the report.
     #[test]
     fn random_local_wait_traces_match_serial(
         devices in 2u32..5,
         sms in 2u32..5,
         seed in 0u64..u64::MAX,
     ) {
-        let cluster = ClusterConfig {
-            devices: vec![GpuConfig::toy(sms); devices as usize],
-            link_latency: SimTime::from_nanos(2_500),
-            link_bytes_per_sec: 100e9,
-        };
-        let mut gpu = Gpu::new_cluster(cluster);
-        random_local_wait_workload(seed, devices, &mut gpu);
-        let pipeline = gpu.compile().expect("local-wait workload compiles");
-        prop_assert!(pipeline.shardable());
-        let run = |exec: ExecMode, trace: bool| {
-            let mut session = Session::with_mode(EngineMode::Optimized);
-            session.set_exec(Some(exec));
-            session.set_threads(4);
+        let pipeline = local_wait_pipeline(seed, devices, sms);
+        let run = |mode: EngineMode, trace: bool| {
+            let mut session = Session::with_mode(mode);
             if trace {
                 session.enable_trace();
             }
             let report = session.run(&pipeline).expect("run");
             (report, session.trace().to_vec())
         };
-        let (serial_plain, _) = run(ExecMode::Serial, false);
-        let (serial_report, serial_trace) = run(ExecMode::Serial, true);
-        let (parallel_report, parallel_trace) = run(ExecMode::Parallel, true);
-        prop_assert_eq!(&serial_plain, &serial_report, "tracing perturbed serial");
-        // `sim_events` measures simulation *work*, which the sharded
-        // engine legitimately repartitions; everything observable must
-        // match bit for bit.
-        assert_reports_identical(&serial_report, &parallel_report, "serial vs parallel");
-        prop_assert_eq!(&serial_trace, &parallel_trace);
+        let (plain, _) = run(EngineMode::Optimized, false);
+        let (optimized_report, optimized_trace) = run(EngineMode::Optimized, true);
+        let (reference_report, reference_trace) = run(EngineMode::Reference, true);
+        prop_assert_eq!(&plain, &optimized_report, "tracing perturbed the run");
+        assert_reports_identical(&reference_report, &optimized_report, "reference vs optimized");
+        prop_assert_eq!(&reference_trace, &optimized_trace);
     }
 }
 

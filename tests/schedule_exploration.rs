@@ -98,15 +98,13 @@ fn engines_agree_under_every_schedule_policy() {
     }
 }
 
-/// Parallelism must not change what the schedule explorer observes: for
-/// every explored policy of the deadlocking regime, a device-sharded
-/// ([`ExecMode::Parallel`]) session produces the *identical* outcome as
-/// the serial engine — in particular the identical `DeadlockReport`. (A
-/// sharded attempt that stalls is abandoned and rerun serially, so the
-/// canonical report survives any thread count.)
+/// The engine implementation must not change what the schedule explorer
+/// observes: for every explored policy of the deadlocking regime, a
+/// Reference-engine session produces the *identical* outcome as the
+/// Optimized engine — in particular the identical `DeadlockReport`.
 #[test]
 fn deadlock_reports_are_parallelism_invariant() {
-    use cusync_sim::{EngineMode, ExecMode, Session};
+    use cusync_sim::{EngineMode, Session};
     let graph = generate(0xC60_2024, 2);
     let pipeline = graph.build(&graph.starved_cluster(), false).unwrap();
     let cfg = ExploreConfig::seeded(16, 0xFEED_F00D).expecting(Expectation::Deadlocks);
@@ -114,31 +112,29 @@ fn deadlock_reports_are_parallelism_invariant() {
     assert!(summary.deadlocked() >= 1, "{summary}");
     let mut deadlocked = 0;
     for kind in &cfg.schedules {
-        let run = |exec: ExecMode| {
-            let mut session = Session::with_mode(EngineMode::Optimized);
+        let run = |mode: EngineMode| {
+            let mut session = Session::with_mode(mode);
             session.set_sched(Some(kind.instantiate()));
-            session.set_exec(Some(exec));
-            session.set_threads(2);
             session.run(&pipeline)
         };
-        match (run(ExecMode::Serial), run(ExecMode::Parallel)) {
-            (Ok(serial), Ok(parallel)) => {
-                assert_eq!(serial.kernels, parallel.kernels, "{kind}: kernels");
-                assert_eq!(serial.total, parallel.total, "{kind}: total");
+        match (run(EngineMode::Reference), run(EngineMode::Optimized)) {
+            (Ok(reference), Ok(optimized)) => {
+                assert_eq!(reference.kernels, optimized.kernels, "{kind}: kernels");
+                assert_eq!(reference.total, optimized.total, "{kind}: total");
             }
-            (Err(serial), Err(parallel)) => {
-                assert_eq!(serial, parallel, "{kind}: deadlock reports");
+            (Err(reference), Err(optimized)) => {
+                assert_eq!(reference, optimized, "{kind}: deadlock reports");
                 deadlocked += 1;
             }
-            (serial, parallel) => {
-                panic!("{kind}: outcomes diverge ({serial:?} vs {parallel:?})")
+            (reference, optimized) => {
+                panic!("{kind}: outcomes diverge ({reference:?} vs {optimized:?})")
             }
         }
     }
     assert_eq!(
         deadlocked,
         summary.deadlocked(),
-        "the parallel sessions see the same deadlock set the explorer did"
+        "the per-engine sessions see the same deadlock set the explorer did"
     );
 }
 
